@@ -115,7 +115,14 @@ class QueryBroker {
     /// selection bypass applies and keeps supersteps proportional to the
     /// united wavefronts; PPR runs every vertex every round (no bypass).
     VersionId bfs_version{CombinerKind::kSpinlockPush, true};
-    VersionId ppr_version{CombinerKind::kSpinlockPush, false};
+    /// PPR uses the pull combiner: its CSR-order gather keeps floating
+    /// rank sums, and so answers, bit-identical from run to run at any
+    /// thread count, where a push combiner sums in arrival order.
+    /// Precondition: the epoch is built with `build_in_edges = true`;
+    /// otherwise a PPR query resolves kFailed carrying the engine's
+    /// "build the graph with build_in_edges = true" message (BFS-family
+    /// queries are unaffected).
+    VersionId ppr_version{CombinerKind::kPull, false};
 
     /// Serve repeat queries from the result cache (lookup at submit,
     /// insert after a completed run while the epoch is still current).

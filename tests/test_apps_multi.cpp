@@ -2,6 +2,11 @@
 // lane of a batched run must be bit-identical (BFS) or numerically equal
 // (PPR) to the corresponding single-query serial reference — the
 // correctness contract the query broker's batching rests on.
+//
+// Tests that compare two PPR runs bit-for-bit run the broadcast (pull)
+// version: it gathers in-neighbours in CSR order at any thread count,
+// while the push combiners sum floating messages in arrival order and are
+// bit-reproducible only single-threaded (DESIGN.md §5, §7).
 
 #include <gtest/gtest.h>
 
@@ -144,7 +149,9 @@ TEST(MultiPpr, EmptySeedLaneIsAllZero) {
 
 TEST(MultiPpr, DuplicateSeedsCollapse) {
   // set_seeds dedups, so {5, 5, 9} and {5, 9} are the same query — the
-  // cache keys on the normalised seed set for the same reason.
+  // cache keys on the normalised seed set for the same reason. The runs
+  // use the broadcast version because only its fixed-order gather makes
+  // two runs of one query bit-identical at any thread count (DESIGN.md §7).
   const graph::CsrGraph g =
       ipregel::testing::make_graph(graph::rmat(8, 6, {.seed = 13}));
   apps::MultiPpr<1> a;
@@ -155,10 +162,11 @@ TEST(MultiPpr, DuplicateSeedsCollapse) {
   b.set_seeds(0, {9, 5});
   std::vector<apps::MultiPpr<1>::value_type> va;
   std::vector<apps::MultiPpr<1>::value_type> vb;
-  run_version(g, a, {CombinerKind::kSpinlockPush, false}, EngineOptions{},
-              nullptr, &va);
-  run_version(g, b, {CombinerKind::kSpinlockPush, false}, EngineOptions{},
-              nullptr, &vb);
+  EXPECT_EQ(a.seeds[0], b.seeds[0]);
+  run_version(g, a, {CombinerKind::kPull, false}, EngineOptions{}, nullptr,
+              &va);
+  run_version(g, b, {CombinerKind::kPull, false}, EngineOptions{}, nullptr,
+              &vb);
   ASSERT_EQ(va.size(), vb.size());
   for (std::size_t s = g.first_slot(); s < g.num_slots(); ++s) {
     ASSERT_EQ(va[s][0], vb[s][0]) << "slot " << s;

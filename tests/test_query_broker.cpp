@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "apps/serial_reference.hpp"
@@ -257,6 +258,58 @@ TEST(QueryBroker, PprCacheEntryStaysOAnswerSized) {
   EXPECT_EQ(cache.entries, 1u);
   EXPECT_LT(cache.bytes, 4096u)
       << "one top-5 entry must charge the ledger O(answer) bytes";
+}
+
+TEST(QueryBroker, RepeatedPprQueryIsBitIdentical) {
+  // Answers must be bit-identical to a solo run against the pinned epoch
+  // (DESIGN.md §12), so one query repeated with the cache off must return
+  // the same ids and the same rank bits every time. The default PPR
+  // version gathers in fixed order; a push combiner on a multi-threaded
+  // team folds floating sums in arrival order and breaks this.
+  QueryService::Config cfg;
+  cfg.broker.enable_cache = false;
+  QueryService svc(cfg);
+  svc.publish(make_graph(graph::rmat(10, 8, {.seed = 41})));
+  const PointQuery q{
+      .kind = QueryKind::kPpr, .seeds = {0, 3, 17, 250}, .top_n = 50};
+
+  const QueryResult first = svc.query_sync(q);
+  ASSERT_EQ(first.status, QueryResult::Status::kOk) << first.error;
+  ASSERT_FALSE(first.top.empty());
+  for (int rep = 1; rep < 20; ++rep) {
+    const QueryResult r = svc.query_sync(q);
+    ASSERT_EQ(r.status, QueryResult::Status::kOk) << r.error;
+    EXPECT_FALSE(r.from_cache);
+    ASSERT_EQ(r.top.size(), first.top.size()) << "repeat " << rep;
+    for (std::size_t i = 0; i < r.top.size(); ++i) {
+      ASSERT_EQ(r.top[i].id, first.top[i].id)
+          << "repeat " << rep << ", position " << i;
+      ASSERT_EQ(r.top[i].rank, first.top[i].rank)
+          << "repeat " << rep << ", position " << i;
+    }
+  }
+}
+
+TEST(QueryBroker, PprWithoutInEdgesFailsTyped) {
+  // The default PPR version is the pull combiner, which needs in-edges.
+  // Against an epoch built without them a PPR query resolves kFailed with
+  // the engine's message instead of hanging; BFS-family queries, which
+  // run a push version, are served as usual.
+  QueryService svc(small_config());
+  svc.publish(graph::CsrGraph::build(graph::rmat(8, 6, {.seed = 17}),
+                                     graph::CsrBuildOptions{}));
+  ASSERT_FALSE(svc.current_epoch()->graph().has_in_edges());
+
+  const QueryResult ppr =
+      svc.query_sync(PointQuery{.kind = QueryKind::kPpr, .seeds = {4}});
+  ASSERT_EQ(ppr.status, QueryResult::Status::kFailed);
+  EXPECT_NE(ppr.error.find("build_in_edges = true"), std::string::npos)
+      << ppr.error;
+
+  const QueryResult bfs = svc.query_sync(PointQuery{
+      .kind = QueryKind::kDistance, .source = 4, .targets = {4}});
+  ASSERT_EQ(bfs.status, QueryResult::Status::kOk) << bfs.error;
+  EXPECT_EQ(bfs.distances.at(0), 0u);
 }
 
 TEST(QueryBroker, QueueFullShedsTyped) {
